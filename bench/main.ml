@@ -3,11 +3,10 @@
 
      dune exec bench/main.exe -- table5 fig10 fig14
      dune exec bench/main.exe -- --full      (wider sweeps)
-     dune exec bench/main.exe -- --search-jobs 2 fig13   (parallel search)
 
    Sections: table1 table2 table34 table5 fig10 fig11 fig12 fig13 fig14
              rules relational star strategies distributed ablations
-             service obs parallel bechamel *)
+             service obs bechamel *)
 
 module W = Prairie_workload
 module Opt = Prairie_optimizers.Optimizers
@@ -777,41 +776,6 @@ let obs () =
     \  sink pays for event construction and the ring-buffer write.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration: jobs sweep on fig13's Q7                      *)
-(* ------------------------------------------------------------------ *)
-
-let parallel () =
-  S.header "Parallel exploration: Q7 (E4) wall time vs search jobs";
-  let joins = if !full then 4 else 3 in
-  let inst = W.Queries.instance W.Queries.Q7 ~joins ~seed:101 in
-  let base = ref nan in
-  Printf.printf "  %-6s %12s %10s %14s\n" "jobs" "wall ms" "speedup" "cost";
-  List.iter
-    (fun jobs ->
-      let opt = Opt.oodb_prairie inst.W.Queries.catalog in
-      let t0 = Unix.gettimeofday () in
-      let r = Opt.optimize ~search_jobs:jobs opt inst.W.Queries.expr in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      if Float.is_nan !base then base := ms;
-      S.record_row
-        [
-          ("section", S.Json.Str "parallel");
-          ("query", S.Json.Str "Q7");
-          ("name", S.Json.Str (Printf.sprintf "jobs%d" jobs));
-          ("joins", S.Json.Int joins);
-          ("jobs", S.Json.Int jobs);
-          ("wall_ms", S.Json.Float ms);
-          ("cost", S.Json.Float r.Opt.cost);
-        ];
-      Printf.printf "  %-6d %12.1f %9.2fx %14.2f\n" jobs ms (!base /. ms)
-        r.Opt.cost)
-    [ 1; 2; 4 ];
-  Printf.printf
-    "  Costs are byte-identical at every jobs value (the commit phase\n\
-    \  replays the sequential order; see docs/PERF.md).  Wall-clock speedup\n\
-    \  requires more than one available core.\n"
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)
 (* ------------------------------------------------------------------ *)
 
@@ -891,7 +855,6 @@ let sections =
     ("ablations", ablations);
     ("service", service);
     ("obs", obs);
-    ("parallel", parallel);
     ("bechamel", bechamel);
   ]
 
@@ -933,18 +896,6 @@ let () =
     | a :: rest -> strip_opt name (a :: acc) rest
   in
   let check_file, args = strip_opt "--check" [] args in
-  (* --search-jobs N: run every section's searches at that exploration
-     parallelism (deterministic: results are byte-identical to jobs 1, so
-     --check against a sequential baseline still applies) *)
-  let search_jobs_s, args = strip_opt "--search-jobs" [] args in
-  (match search_jobs_s with
-  | None -> ()
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some j when j >= 1 -> Unix.putenv "PRAIRIE_SEARCH_JOBS" (string_of_int j)
-    | _ ->
-      Printf.eprintf "--search-jobs must be a positive integer, got %S\n" s;
-      exit 2));
   let tolerance_s, args = strip_opt "--tolerance" [] args in
   let tolerance =
     match tolerance_s with

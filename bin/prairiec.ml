@@ -517,17 +517,7 @@ let optimize_cmd =
       & info [ "strategy" ] ~docv:"STRATEGY"
           ~doc:"Search strategy: $(b,top-down) (Volcano) or $(b,bottom-up)                 (System R dynamic programming).")
   in
-  let search_jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "search-jobs" ] ~docv:"N"
-          ~doc:
-            "Explore across $(docv) domains (top-down only; default \
-             \\$PRAIRIE_SEARCH_JOBS, else 1).  Plans and costs are \
-             byte-identical at any value.")
-  in
-  let run qn joins seed ruleset_path strategy search_jobs verbose =
+  let run qn joins seed ruleset_path strategy verbose =
     setup_verbose verbose;
     match W.Queries.of_int qn with
     | None -> `Error (false, "query number must be 1-8")
@@ -556,7 +546,7 @@ let optimize_cmd =
           joins seed Prairie.Expr.pp inst.W.Queries.expr;
         (match strategy with
         | `Top_down -> (
-          let r = Opt.optimize ?search_jobs opt inst.W.Queries.expr in
+          let r = Opt.optimize opt inst.W.Queries.expr in
           match r.Opt.plan with
           | Some plan ->
             Format.printf "@.best plan: %s@.@." (Explain.summary plan);
@@ -584,7 +574,7 @@ let optimize_cmd =
     Term.(
       ret
         (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ strategy_arg $ search_jobs_arg $ verbose_arg))
+       $ strategy_arg $ verbose_arg))
 
 (* ---------------- trace ---------------- *)
 
@@ -827,16 +817,6 @@ let serve_cmd =
             "Worker domains for the plan service (0 = one per available \
              core).")
   in
-  let serve_search_jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "search-jobs" ] ~docv:"N"
-          ~doc:
-            "Intra-query exploration domains per worker search (default \
-             \\$PRAIRIE_SEARCH_JOBS, else 1).  Keep jobs x search-jobs near \
-             the core count.")
-  in
   let cache_size_arg =
     Arg.(
       value & opt int 256
@@ -903,7 +883,7 @@ let serve_cmd =
             "Slow-query threshold in milliseconds: searches at or above it \
              are recorded in the slow-query log served at /tracez.")
   in
-  let run jobs search_jobs cache_size requests max_joins seed group_budget
+  let run jobs cache_size requests max_joins seed group_budget
       metrics_file telemetry_port linger slow_ms verbose =
     setup_verbose verbose;
     if max_joins < 1 then `Error (false, "--joins must be at least 1")
@@ -965,13 +945,11 @@ let serve_cmd =
       (List.length batch) (List.length distinct) jobs cache_size;
     let cold, t_cold =
       timed (fun () ->
-          Opt.serve ?group_budget ~jobs ?search_jobs ~cache ?metrics ?slow_log
-            opt batch)
+          Opt.serve ?group_budget ~jobs ~cache ?metrics ?slow_log opt batch)
     in
     let warm, t_warm =
       timed (fun () ->
-          Opt.serve ?group_budget ~jobs ?search_jobs ~cache ?metrics ?slow_log
-            opt batch)
+          Opt.serve ?group_budget ~jobs ~cache ?metrics ?slow_log opt batch)
     in
     let summarize label served t =
       let hits = List.length (List.filter (fun s -> s.Opt.cache_hit) served) in
@@ -1020,7 +998,7 @@ let serve_cmd =
           cache.")
     Term.(
       ret
-        (const run $ jobs_arg $ serve_search_jobs_arg $ cache_size_arg
+        (const run $ jobs_arg $ cache_size_arg
        $ requests_arg $ joins_arg $ seed_arg $ budget_arg $ metrics_arg
        $ telemetry_port_arg $ linger_arg $ slow_ms_arg $ verbose_arg))
 

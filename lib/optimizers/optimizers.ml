@@ -149,14 +149,11 @@ let timed f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-let optimize ?pruning ?group_budget ?search_jobs ?(required = Descriptor.empty)
-    ?trace ?spans ?metrics ?slow_log t expr =
+let optimize ?pruning ?group_budget ?(required = Descriptor.empty) ?trace
+    ?spans ?metrics ?slow_log t expr =
   let expr, req0 = t.prepare expr in
   let required = Descriptor.merge ~base:req0 ~overrides:required in
-  let search =
-    Search.create ?pruning ?group_budget ?jobs:search_jobs ?trace ?spans
-      t.volcano
-  in
+  let search = Search.create ?pruning ?group_budget ?trace ?spans t.volcano in
   let plan, elapsed = timed (fun () -> Search.optimize ~required search expr) in
   (match metrics with
   | None -> ()
@@ -197,8 +194,8 @@ type served = {
   budget_hit : bool;
 }
 
-let serve_metered ?pruning ?group_budget ?jobs ?search_jobs ?cache ?metrics
-    ?slow_log t batch =
+let serve_metered ?pruning ?group_budget ?jobs ?cache ?metrics ?slow_log t
+    batch =
   (* Preparation and fingerprinting are cheap; do them sequentially so the
      batch can be deduplicated before any search is dispatched. *)
   let prepared =
@@ -232,9 +229,7 @@ let serve_metered ?pruning ?group_budget ?jobs ?search_jobs ?cache ?metrics
       to_optimize []
   in
   let optimize_one (fp, expr, required) =
-    let search =
-      Search.create ?pruning ?group_budget ?jobs:search_jobs t.volcano
-    in
+    let search = Search.create ?pruning ?group_budget t.volcano in
     let plan, elapsed =
       timed (fun () -> Search.optimize ~required search expr)
     in
@@ -296,12 +291,14 @@ let serve_metered ?pruning ?group_budget ?jobs ?search_jobs ?cache ?metrics
       })
     prepared
 
-let serve ?pruning ?group_budget ?jobs ?search_jobs ?cache ?metrics ?slow_log t
-    batch =
+let serve ?pruning ?group_budget ?jobs ?(search_jobs = 1) ?cache ?metrics
+    ?slow_log t batch =
+  if search_jobs <> 1 then
+    invalid_arg "Optimizers.serve: ~search_jobs must be 1";
   let served, elapsed =
     timed (fun () ->
-        serve_metered ?pruning ?group_budget ?jobs ?search_jobs ?cache ?metrics
-          ?slow_log t batch)
+        serve_metered ?pruning ?group_budget ?jobs ?cache ?metrics ?slow_log t
+          batch)
   in
   (match metrics with
   | None -> ()

@@ -42,7 +42,6 @@ val oodb_ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
 val optimize :
   ?pruning:bool ->
   ?group_budget:int ->
-  ?search_jobs:int ->
   ?required:Prairie.Descriptor.t ->
   ?trace:Prairie_obs.Trace.t ->
   ?spans:Prairie_obs.Span.t ->
@@ -54,10 +53,6 @@ val optimize :
 (** Prepare the query, run the search from a fresh memo and return the
     best plan with the search context (for group counts and rule-match
     statistics).
-
-    [search_jobs] is the intra-query exploration parallelism (the [jobs]
-    of {!Prairie_volcano.Search.create}; default: [PRAIRIE_SEARCH_JOBS],
-    else 1).  Costs and plans are byte-identical at any value.
 
     [trace] attaches a structured event sink to the search (see
     {!Prairie_volcano.Search.create} and {!Prairie_volcano.Explain.trace});
@@ -112,10 +107,11 @@ val serve :
   request list ->
   served list
 (** Optimize a batch, in request order.  [jobs] is the worker count
-    (default {!Pool.default_jobs}; [1] is fully sequential).
-    [search_jobs] is the per-search exploration parallelism each worker's
-    {!Prairie_volcano.Search.t} runs at — keep [jobs × search_jobs] near
-    the core count.  [cache] is
+    (default {!Pool.default_jobs}; [1] is fully sequential).  Each search
+    runs on the worker that took it.  [search_jobs] accepts only [1] (the
+    default); any other value raises [Invalid_argument].  The label
+    remains only because the benchmark harness under [perfbench/] passes
+    [~search_jobs:1]; it goes when that harness next changes.  [cache] is
     consulted before and populated after every search; omitting it still
     deduplicates within the batch.  [group_budget] is the per-request
     budget: an over-large query degrades gracefully instead of stalling a

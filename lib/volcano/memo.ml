@@ -11,10 +11,11 @@ type lnode =
 
 (* [inputs] is canonicalized *in place* during post-merge repair: a slot is
    only ever overwritten with the canonical id of its previous value, so
-   [canonical inputs.(i)] is stable across the mutation and matching
-   results are unaffected.  The record itself is never re-allocated —
-   member identity (and the packed [tried] keys hanging off [id]) survives
-   repair. *)
+   [canonical inputs.(i)] is stable across the mutation.  That matters
+   mid-match: matching an input slot may explore, and so merge, groups
+   before the matcher reads the next slot of the same member.  The record
+   itself is never re-allocated — member identity (and the packed [tried]
+   keys hanging off [id]) survives repair. *)
 type lexpr = {
   id : int;
   node : lnode;
@@ -36,12 +37,6 @@ type winner = {
    it without allocating; older code stored it oldest-first and paid a
    [List.rev] per call in the innermost explore/cost loops.
 
-   [version] counts observable membership changes (insert, merge splice,
-   duplicate drop) — the speculative parallel explorer records it in read
-   sets and revalidates before committing.  In-place input
-   canonicalization does not bump it: matching only ever consumes inputs
-   through [canonical], which the rewrite preserves.
-
    [w_epoch] keys this group's entries in the striped winner store;
    bumping it on merge invalidates every memoized winner in O(1). *)
 type group = {
@@ -50,7 +45,6 @@ type group = {
   mutable desc : Descriptor.t;
   mutable explored : bool;
   mutable exploring : bool;
-  mutable version : int;
   mutable w_epoch : int;
 }
 
@@ -83,11 +77,11 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
-(* Winners live in a lock-striped store keyed by (group, epoch, required
-   descriptor) instead of per-group tables: striping keeps probes sound if
-   several domains ever cost concurrently, and the epoch indirection turns
-   per-merge winner invalidation from a table reset into one counter
-   bump. *)
+(* Winners live in one store keyed by (group, epoch, required descriptor)
+   instead of per-group tables: the epoch indirection turns per-merge
+   winner invalidation from a table reset into one counter bump.  The
+   store is lock-striped, but a memo is only ever used by one domain at a
+   time, so the stripe mutexes are never contended. *)
 module Wkey = struct
   type t = int * int * Descriptor.t
 
@@ -157,14 +151,6 @@ let rec canonical t g =
     if root <> p then Hashtbl.replace t.parents g root;
     root
 
-(* No path compression: safe for concurrent readers while the memo is
-   frozen (the speculative match phase), where [canonical]'s compression
-   writes would race. *)
-let rec canonical_ro t g =
-  match Hashtbl.find_opt t.parents g with
-  | None -> g
-  | Some p -> canonical_ro t p
-
 let group t g = Hashtbl.find t.groups (canonical t g)
 let group_desc t g = (group t g).desc
 let lexprs t g = (group t g).members
@@ -180,22 +166,6 @@ let is_explored t g = (group t g).explored
 let set_explored t g v = (group t g).explored <- v
 let is_exploring t g = (group t g).exploring
 let set_exploring t g v = (group t g).exploring <- v
-let group_version t g = (group t g).version
-
-(* Frozen-memo accessors for the speculative match phase: [g] must already
-   be canonical (via [canonical_ro]); no writes, not even path
-   compression. *)
-let lexprs_ro t g = (Hashtbl.find t.groups g).members
-let group_desc_ro t g = (Hashtbl.find t.groups g).desc
-let group_version_ro t g = (Hashtbl.find t.groups g).version
-
-let matchable_ro t g =
-  let grp = Hashtbl.find t.groups g in
-  grp.explored || grp.exploring
-
-let matchable t g =
-  let grp = group t g in
-  grp.explored || grp.exploring
 
 (* Rule ids are positions in the rule set's transformation list, so they fit
    comfortably in 20 bits; packing avoids allocating a tuple key on every
@@ -245,7 +215,6 @@ let fresh_group t desc =
       desc;
       explored = false;
       exploring = false;
-      version = 0;
       w_epoch = 0;
     }
   in
@@ -296,7 +265,6 @@ let reindex t q (le : lexpr) owner =
       Hashtbl.replace t.dead_lexprs drop ();
       let grp = Hashtbl.find t.groups owner in
       grp.members <- List.filter (fun (m : lexpr) -> m.id <> drop) grp.members;
-      grp.version <- grp.version + 1;
       Ktbl.replace t.index k (keep, owner)
     end
 
@@ -315,7 +283,6 @@ let merge_one t q x y =
     gs.members <- dead_members @ gs.members;
     gs.explored <- false;
     gs.exploring <- gs.exploring || gd.exploring;
-    gs.version <- gs.version + 1;
     gs.w_epoch <- gs.w_epoch + 1;
     t.stats.Stats.groups_merged <- t.stats.Stats.groups_merged + 1;
     emit t (fun () -> Trace.Groups_merged { survivor; dead });
@@ -392,7 +359,6 @@ let insert_lexpr t ?into node arg inputs =
     t.next_lexpr <- t.next_lexpr + 1;
     grp.members <- le :: grp.members;
     grp.explored <- false;
-    grp.version <- grp.version + 1;
     Ktbl.replace t.index key (le.id, grp.g_id);
     (* Register this member under each distinct input group so a merge
        killing that group knows to rewrite the slot. *)

@@ -46,15 +46,11 @@ val create :
     per-lexpr rule iteration shrinks.  [match_index:false] is the
     [ablation] / differential-testing configuration.
 
-    [jobs] (default: [PRAIRIE_SEARCH_JOBS] from the environment, else 1)
-    runs each exploration round's rule matching speculatively across that
-    many OCaml domains.  The memo is frozen during the parallel match
-    phase and every task is committed sequentially in the sequential
-    engine's order, with per-task read-set revalidation — so memos, costs
-    and chosen plans are byte-identical to [jobs = 1] at any job count
-    (property-tested in the equivalence harness).  Worker domains are
-    spawned when a top-level [optimize]/[optimize_group]/[explore_group]
-    call begins and joined when it returns.
+    [jobs] accepts only [1] (the default); any other value raises
+    [Invalid_argument].  Exploration always runs on the calling domain.
+    The label remains only because the benchmark harness under
+    [perfbench/] passes [~jobs:1]; it goes when that harness next
+    changes.
 
     [trace] attaches a structured event sink recording the whole search:
     group creation/merges, rule matches, applications and rejections with
@@ -84,9 +80,6 @@ val budget_was_hit : t -> bool
 val ruleset : t -> Rule.ruleset
 val memo : t -> Memo.t
 val stats : t -> Stats.t
-
-val jobs : t -> int
-(** The domain count exploration matching runs at (1 = sequential). *)
 
 val spans : t -> Prairie_obs.Span.t option
 (** The span sink passed to {!create}, if any. *)
