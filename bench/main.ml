@@ -451,13 +451,7 @@ let distributed () =
   let rs = Dist.ruleset catalog ~sites in
   let tr = P2v.Translate.translate rs in
   Format.printf "%a@.@." P2v.Report.pp (P2v.Report.of_translation tr);
-  let opt =
-    {
-      Opt.name = "distributed";
-      volcano = tr.P2v.Translate.volcano;
-      prepare = P2v.Translate.prepare_query tr;
-    }
-  in
+  let opt = Opt.of_translation "distributed" tr in
   let q =
     Dist.join catalog
       ~pred:(eq (attr "R2" "a") (attr "R3" "a"))

@@ -54,34 +54,19 @@ module Json = struct
     | Obj of (string * v) list
     | Arr of v list
 
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let rec output buf = function
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f ->
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
       else Buffer.add_string buf "null"
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+    | Str s -> Buffer.add_string buf (Prairie_util.Json.quote s)
     | Obj fields ->
       Buffer.add_char buf '{';
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":" (escape k));
+          Buffer.add_string buf (Prairie_util.Json.quote k);
+          Buffer.add_char buf ':';
           output buf v)
         fields;
       Buffer.add_char buf '}'

@@ -26,6 +26,7 @@ module Metrics = Prairie_obs.Metrics
 module Span = Prairie_obs.Span
 module Slow_log = Prairie_obs.Slow_log
 module Telemetry = Prairie_service.Telemetry
+module Json = Prairie_util.Json
 
 let default_catalog () =
   W.Catalogs.make (W.Catalogs.default_spec ~classes:4 ~indexed:true ~seed:1)
@@ -67,21 +68,33 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Rule-specification file (.prairie).")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* An int argument that rejects a negative value as a usage error. *)
+let non_negative =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "invalid value '%s', expected a non-negative integer"
+              s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Run [dump] on stdout when [dest] is "-", else on the file [dest], and
+   then report it with [written dest].  A file that cannot be written is
+   a command error, not an exception. *)
+let write_out dest dump ~written =
+  if dest = "-" then begin
+    dump stdout;
+    `Ok ()
+  end
+  else
+    match Out_channel.with_open_text dest dump with
+    | () ->
+      written dest;
+      `Ok ()
+    | exception Sys_error msg -> `Error (false, "cannot write " ^ msg)
 
 (* ---------------- check ---------------- *)
 
@@ -101,11 +114,33 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Parse and validate a rule-specification file.")
     Term.(ret (const run $ file_arg))
 
-(* ---------------- lint ---------------- *)
+(* ---------------- diagnostics driver: lint, analyze, verify ---------------- *)
 
-let lint_cmd =
-  let module Lint = Prairie_lint.Lint in
-  let module Diag = Prairie.Diagnostic in
+module Diag = Prairie.Diagnostic
+
+(* What a command's check found in one file: the diagnostics, plus the
+   command's own text footer line (printed as "path: footer") and JSON
+   fields, placed between "file" and "diagnostics" or after "warnings". *)
+type file_report = {
+  diagnostics : Diag.t list;
+  footer : string option;
+  json_before : (string * string) list;
+  json_after : (string * string) list;
+}
+
+let json_fields fields =
+  String.concat ""
+    (List.map (fun (k, v) -> Printf.sprintf ",%s:%s" (Json.quote k) v) fields)
+
+let json_list ss = "[" ^ String.concat "," (List.map Json.quote ss) ^ "]"
+
+(* The contract lint, analyze and verify share (docs/LINT.md): FILE...,
+   --format and --max-warnings; "path: clean" / "path: <diagnostic>" lines
+   or one {"files":[...],"total_errors":...,"total_warnings":...} document;
+   exit 1 on errors and 2 over the warning budget.  [check] is the
+   command's own term: the per-file check and its extra top-level JSON
+   fields. *)
+let diagnostics_cmd cmd_info check =
   let files_arg =
     Arg.(
       non_empty
@@ -122,76 +157,75 @@ let lint_cmd =
   let max_warnings_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some non_negative) None
       & info [ "max-warnings" ] ~docv:"N"
           ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
   in
-  let run files format max_warnings =
-    let helpers = Prairie_algebra.Helpers.env (default_catalog ()) in
-    let results =
-      List.map (fun path -> (path, Lint.lint_file ~helpers path)) files
-    in
-    let totals (_, ds) = Lint.summary ds in
-    let total_errors =
-      List.fold_left (fun n r -> n + (fun (e, _, _) -> e) (totals r)) 0 results
-    in
-    let total_warnings =
-      List.fold_left (fun n r -> n + (fun (_, w, _) -> w) (totals r)) 0 results
-    in
+  let run (check, top_fields) files format max_warnings =
+    let results = List.map (fun path -> (path, check path)) files in
+    let counts = List.map (fun (_, r) -> Diag.summary r.diagnostics) results in
+    let total_errors = List.fold_left (fun n (e, _, _) -> n + e) 0 counts in
+    let total_warnings = List.fold_left (fun n (_, w, _) -> n + w) 0 counts in
     (match format with
     | `Text ->
       List.iter
-        (fun (path, ds) ->
-          match ds with
+        (fun (path, r) ->
+          (match r.diagnostics with
           | [] -> Printf.printf "%s: clean\n" path
           | ds ->
             List.iter
               (fun d -> Printf.printf "%s: %s\n" path (Diag.to_string d))
-              ds)
+              ds);
+          Option.iter (Printf.printf "%s: %s\n" path) r.footer)
         results;
       if total_errors > 0 || total_warnings > 0 then
         Printf.printf "%d error(s), %d warning(s)\n" total_errors total_warnings
     | `Json ->
-      let file_json (path, ds) =
-        let e, w, _ = Lint.summary ds in
+      let file_json (path, r) (e, w, _) =
         Printf.sprintf
-          "{\"file\":\"%s\",\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d}"
-          (json_escape path)
-          (String.concat "," (List.map Diag.to_json ds))
-          e w
+          "{\"file\":%s%s,\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d%s}"
+          (Json.quote path) (json_fields r.json_before)
+          (String.concat "," (List.map Diag.to_json r.diagnostics))
+          e w (json_fields r.json_after)
       in
       Printf.printf
-        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d}\n"
-        (String.concat "," (List.map file_json results))
-        total_errors total_warnings);
+        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d%s}\n"
+        (String.concat "," (List.map2 file_json results counts))
+        total_errors total_warnings (json_fields top_fields));
     if total_errors > 0 then exit 1;
-    (match max_warnings with
+    match max_warnings with
     | Some n when total_warnings > n ->
       Printf.eprintf "too many warnings: %d (allowed: %d)\n" total_warnings n;
       exit 2
-    | _ -> ());
-    `Ok ()
+    | _ -> ()
   in
-  Cmd.v
+  Cmd.v cmd_info
+    Term.(const run $ check $ files_arg $ format_arg $ max_warnings_arg)
+
+let lint_cmd =
+  let check () =
+    let helpers = Prairie_algebra.Helpers.env (default_catalog ()) in
+    let lint path =
+      {
+        diagnostics = Prairie_lint.Lint.lint_file ~helpers path;
+        footer = None;
+        json_before = [];
+        json_after = [];
+      }
+    in
+    (lint, [])
+  in
+  diagnostics_cmd
     (Cmd.info "lint"
        ~doc:
          "Statically analyze rule-specification files: declaration, binding, \
           property-classification, termination and enforcer checks with \
           stable diagnostic codes (P001...). Exits 1 on errors, 2 when \
           $(b,--max-warnings) is exceeded.")
-    Term.(ret (const run $ files_arg $ format_arg $ max_warnings_arg))
-
-(* ---------------- analyze ---------------- *)
+    Term.(const check $ const ())
 
 let analyze_cmd =
   let module Analysis = Prairie_analysis.Analysis in
-  let module Diag = Prairie.Diagnostic in
-  let files_arg =
-    Arg.(
-      non_empty
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Rule-specification files (.prairie).")
-  in
   let roots_arg =
     Arg.(
       value
@@ -201,93 +235,33 @@ let analyze_cmd =
             "Workload root operator for the reachability closure \
              (repeatable).  Default: every declared non-enforcer operator.")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
-  in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
-  in
-  let run files roots format max_warnings =
-    let config = { Analysis.roots } in
-    let results =
-      List.map (fun path -> (path, Analysis.analyze_file ~config path)) files
+  let check roots =
+    let analyze path =
+      let r = Analysis.analyze_file ~config:{ Analysis.roots } path in
+      {
+        diagnostics = r.Analysis.diagnostics;
+        footer =
+          Some
+            (Printf.sprintf
+               "%d operator(s) reachable, %d dead rule(s), %d unreachable \
+                rule(s)"
+               (List.length r.Analysis.reachable)
+               (List.length r.Analysis.dead_rules)
+               (List.length r.Analysis.unreachable_rules));
+        json_before = [ ("ruleset", Json.quote r.Analysis.ruleset) ];
+        json_after =
+          [
+            ("reachable", json_list r.Analysis.reachable);
+            ("dead_rules", json_list r.Analysis.dead_rules);
+            ("unreachable_rules", json_list r.Analysis.unreachable_rules);
+            ("required_physical", json_list r.Analysis.required_physical);
+            ("produced_physical", json_list r.Analysis.produced_physical);
+          ];
+      }
     in
-    let total_errors =
-      List.fold_left
-        (fun n (_, (r : Analysis.report)) ->
-          n + (fun (e, _, _) -> e) (Analysis.summary r.Analysis.diagnostics))
-        0 results
-    in
-    let total_warnings =
-      List.fold_left
-        (fun n (_, (r : Analysis.report)) ->
-          n + (fun (_, w, _) -> w) (Analysis.summary r.Analysis.diagnostics))
-        0 results
-    in
-    (match format with
-    | `Text ->
-      List.iter
-        (fun (path, (r : Analysis.report)) ->
-          (match r.Analysis.diagnostics with
-          | [] -> Printf.printf "%s: clean\n" path
-          | ds ->
-            List.iter
-              (fun d -> Printf.printf "%s: %s\n" path (Diag.to_string d))
-              ds);
-          Printf.printf
-            "%s: %d operator(s) reachable, %d dead rule(s), %d unreachable \
-             rule(s)\n"
-            path
-            (List.length r.Analysis.reachable)
-            (List.length r.Analysis.dead_rules)
-            (List.length r.Analysis.unreachable_rules))
-        results;
-      if total_errors > 0 || total_warnings > 0 then
-        Printf.printf "%d error(s), %d warning(s)\n" total_errors
-          total_warnings
-    | `Json ->
-      let strings ss =
-        String.concat ","
-          (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) ss)
-      in
-      let file_json (path, (r : Analysis.report)) =
-        let e, w, _ = Analysis.summary r.Analysis.diagnostics in
-        Printf.sprintf
-          "{\"file\":\"%s\",\"ruleset\":\"%s\",\"diagnostics\":[%s],\
-           \"errors\":%d,\"warnings\":%d,\"reachable\":[%s],\
-           \"dead_rules\":[%s],\"unreachable_rules\":[%s],\
-           \"required_physical\":[%s],\"produced_physical\":[%s]}"
-          (json_escape path)
-          (json_escape r.Analysis.ruleset)
-          (String.concat "," (List.map Diag.to_json r.Analysis.diagnostics))
-          e w
-          (strings r.Analysis.reachable)
-          (strings r.Analysis.dead_rules)
-          (strings r.Analysis.unreachable_rules)
-          (strings r.Analysis.required_physical)
-          (strings r.Analysis.produced_physical)
-      in
-      Printf.printf
-        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d}\n"
-        (String.concat "," (List.map file_json results))
-        total_errors total_warnings);
-    if total_errors > 0 then exit 1;
-    (match max_warnings with
-    | Some n when total_warnings > n ->
-      Printf.eprintf "too many warnings: %d (allowed: %d)\n" total_warnings n;
-      exit 2
-    | _ -> ());
-    `Ok ()
+    (analyze, [])
   in
-  Cmd.v
+  diagnostics_cmd
     (Cmd.info "analyze"
        ~doc:
          "Run whole-rule-set dataflow analysis: operator reachability, \
@@ -295,19 +269,10 @@ let analyze_cmd =
           subsumption/overlap (P3xx codes). Where $(b,lint) checks each \
           rule locally, $(b,analyze) reasons across the rule set. Exits 1 \
           on errors, 2 when $(b,--max-warnings) is exceeded.")
-    Term.(ret (const run $ files_arg $ roots_arg $ format_arg $ max_warnings_arg))
-
-(* ---------------- verify ---------------- *)
+    Term.(const check $ roots_arg)
 
 let verify_cmd =
   let module Verify = Prairie_verify.Verify in
-  let module Diag = Prairie.Diagnostic in
-  let files_arg =
-    Arg.(
-      non_empty
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Rule-specification files (.prairie).")
-  in
   let rules_arg =
     Arg.(
       value
@@ -341,95 +306,48 @@ let verify_cmd =
              whose closure reaches the cap are skipped (the naive best \
              would not be authoritative).")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
+  let rule_json (r : Verify.rule_report) =
+    Printf.sprintf
+      "{\"rule\":%s,\"cases\":%d,\"redexes\":%d,\"counterexamples\":%d,\
+       \"shrink_steps\":%d}"
+      (Json.quote r.Verify.rule) r.Verify.cases r.Verify.redexes
+      r.Verify.counterexamples r.Verify.shrink_steps
   in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
-  in
-  let run files rules seed budget oracle_forms format max_warnings =
+  let check rules seed budget oracle_forms =
     let config =
       { Verify.default_config with Verify.seed; budget; oracle_forms; rules }
     in
-    let results =
-      List.map (fun path -> (path, Verify.verify_file ~config path)) files
+    let verify path =
+      let r = Verify.verify_file ~config path in
+      {
+        diagnostics = r.Verify.diagnostics;
+        footer =
+          Some
+            (Printf.sprintf
+               "%d rule(s) checked, %d case(s), %d counterexample(s), %d \
+                shrink step(s) (seed %d)"
+               r.Verify.rules_checked r.Verify.cases_generated
+               r.Verify.counterexamples r.Verify.shrink_steps r.Verify.seed);
+        json_before =
+          [
+            ("ruleset", Json.quote r.Verify.ruleset);
+            ("seed", string_of_int r.Verify.seed);
+          ];
+        json_after =
+          [
+            ("rules_checked", string_of_int r.Verify.rules_checked);
+            ("cases_generated", string_of_int r.Verify.cases_generated);
+            ("counterexamples", string_of_int r.Verify.counterexamples);
+            ("shrink_steps", string_of_int r.Verify.shrink_steps);
+            ( "rules",
+              "[" ^ String.concat "," (List.map rule_json r.Verify.rules) ^ "]"
+            );
+          ];
+      }
     in
-    let total_errors =
-      List.fold_left
-        (fun n (_, (r : Verify.report)) ->
-          n + (fun (e, _, _) -> e) (Verify.summary r.Verify.diagnostics))
-        0 results
-    in
-    let total_warnings =
-      List.fold_left
-        (fun n (_, (r : Verify.report)) ->
-          n + (fun (_, w, _) -> w) (Verify.summary r.Verify.diagnostics))
-        0 results
-    in
-    (match format with
-    | `Text ->
-      List.iter
-        (fun (path, (r : Verify.report)) ->
-          (match r.Verify.diagnostics with
-          | [] -> Printf.printf "%s: clean\n" path
-          | ds ->
-            List.iter
-              (fun d -> Printf.printf "%s: %s\n" path (Diag.to_string d))
-              ds);
-          Printf.printf
-            "%s: %d rule(s) checked, %d case(s), %d counterexample(s), %d \
-             shrink step(s) (seed %d)\n"
-            path r.Verify.rules_checked r.Verify.cases_generated
-            r.Verify.counterexamples r.Verify.shrink_steps r.Verify.seed)
-        results;
-      if total_errors > 0 || total_warnings > 0 then
-        Printf.printf "%d error(s), %d warning(s)\n" total_errors
-          total_warnings
-    | `Json ->
-      let rule_json (r : Verify.rule_report) =
-        Printf.sprintf
-          "{\"rule\":\"%s\",\"cases\":%d,\"redexes\":%d,\
-           \"counterexamples\":%d,\"shrink_steps\":%d}"
-          (json_escape r.Verify.rule) r.Verify.cases r.Verify.redexes
-          r.Verify.counterexamples r.Verify.shrink_steps
-      in
-      let file_json (path, (r : Verify.report)) =
-        let e, w, _ = Verify.summary r.Verify.diagnostics in
-        Printf.sprintf
-          "{\"file\":\"%s\",\"ruleset\":\"%s\",\"seed\":%d,\
-           \"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d,\
-           \"rules_checked\":%d,\"cases_generated\":%d,\
-           \"counterexamples\":%d,\"shrink_steps\":%d,\"rules\":[%s]}"
-          (json_escape path)
-          (json_escape r.Verify.ruleset)
-          r.Verify.seed
-          (String.concat "," (List.map Diag.to_json r.Verify.diagnostics))
-          e w r.Verify.rules_checked r.Verify.cases_generated
-          r.Verify.counterexamples r.Verify.shrink_steps
-          (String.concat "," (List.map rule_json r.Verify.rules))
-      in
-      Printf.printf
-        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d,\
-         \"seed\":%d}\n"
-        (String.concat "," (List.map file_json results))
-        total_errors total_warnings seed);
-    if total_errors > 0 then exit 1;
-    (match max_warnings with
-    | Some n when total_warnings > n ->
-      Printf.eprintf "too many warnings: %d (allowed: %d)\n" total_warnings n;
-      exit 2
-    | _ -> ());
-    `Ok ()
+    (verify, [ ("seed", string_of_int seed) ])
   in
-  Cmd.v
+  diagnostics_cmd
     (Cmd.info "verify"
        ~doc:
          "Semantically verify rule-specification files: generate random \
@@ -438,10 +356,7 @@ let verify_cmd =
           run-time rewrite cycles (P2xx codes), shrinking counterexamples \
           to minimal witnesses. Deterministic in $(b,--seed). Exits 1 on \
           errors, 2 when $(b,--max-warnings) is exceeded.")
-    Term.(
-      ret
-        (const run $ files_arg $ rules_arg $ seed_arg $ budget_arg
-       $ oracle_forms_arg $ format_arg $ max_warnings_arg))
+    Term.(const check $ rules_arg $ seed_arg $ budget_arg $ oracle_forms_arg)
 
 (* ---------------- report ---------------- *)
 
@@ -489,16 +404,21 @@ let render_cmd =
        ~doc:"Print an embedded rule set as .prairie source (exportable).")
     Term.(ret (const run $ name_arg))
 
-(* ---------------- optimize ---------------- *)
+(* ---------------- workload queries: optimize, trace, profile ---------------- *)
 
-let optimize_cmd =
+(* --query, --joins, --seed and --ruleset.  The term's value runs a
+   command's body [k] on the workload query and the optimizer the rule
+   set translates to, after printing the "query ..." header line. *)
+let query_term =
   let query_arg =
     Arg.(
       value & opt int 5
       & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
   in
   let joins_arg =
-    Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
+    Arg.(
+      value & opt non_negative 2
+      & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
@@ -510,15 +430,7 @@ let optimize_cmd =
       & info [ "ruleset"; "r" ] ~docv:"FILE"
           ~doc:"Rule file to use instead of the embedded OODB rule set.")
   in
-  let strategy_arg =
-    Arg.(
-      value
-      & opt (enum [ ("top-down", `Top_down); ("bottom-up", `Bottom_up) ]) `Top_down
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:"Search strategy: $(b,top-down) (Volcano) or $(b,bottom-up)                 (System R dynamic programming).")
-  in
-  let run qn joins seed ruleset_path strategy verbose =
-    setup_verbose verbose;
+  let with_query qn joins seed ruleset_path k =
     match W.Queries.of_int qn with
     | None -> `Error (false, "query number must be 1-8")
     | Some q -> (
@@ -534,19 +446,40 @@ let optimize_cmd =
         prerr_endline msg;
         `Error (false, "could not load the rule set")
       | Ok rs ->
-        let tr = P2v.Translate.translate rs in
         let opt =
-          {
-            Opt.name = rs.Prairie.Ruleset.name;
-            volcano = tr.P2v.Translate.volcano;
-            prepare = P2v.Translate.prepare_query tr;
-          }
+          Opt.of_translation rs.Prairie.Ruleset.name (P2v.Translate.translate rs)
         in
         Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
           joins seed Prairie.Expr.pp inst.W.Queries.expr;
+        k inst.W.Queries.expr opt)
+  in
+  Term.(const with_query $ query_arg $ joins_arg $ seed_arg $ ruleset_arg)
+
+(* Shared by trace and profile (and --group-budget by serve); each caller
+   passes its own doc string. *)
+let capacity_arg doc =
+  Arg.(value & opt int 65536 & info [ "capacity" ] ~docv:"K" ~doc)
+
+let group_budget_arg doc =
+  Arg.(value & opt (some int) None & info [ "group-budget" ] ~docv:"B" ~doc)
+
+let out_arg doc =
+  Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+
+let optimize_cmd =
+  let strategy_arg =
+    Arg.(
+      value
+      & opt (enum [ ("top-down", `Top_down); ("bottom-up", `Bottom_up) ]) `Top_down
+      & info [ "strategy" ] ~docv:"STRATEGY"
+          ~doc:"Search strategy: $(b,top-down) (Volcano) or $(b,bottom-up)                 (System R dynamic programming).")
+  in
+  let run with_query strategy verbose =
+    setup_verbose verbose;
+    with_query (fun expr opt ->
         (match strategy with
         | `Top_down -> (
-          let r = Opt.optimize opt inst.W.Queries.expr in
+          let r = Opt.optimize opt expr in
           match r.Opt.plan with
           | Some plan ->
             Format.printf "@.best plan: %s@.@." (Explain.summary plan);
@@ -555,7 +488,7 @@ let optimize_cmd =
               (Prairie_volcano.Search.stats r.Opt.search)
           | None -> print_endline "no plan found")
         | `Bottom_up -> (
-          let expr, required = opt.Opt.prepare inst.W.Queries.expr in
+          let expr, required = opt.Opt.prepare expr in
           let r = Prairie_volcano.Bottom_up.optimize ~required opt.Opt.volcano expr in
           match r.Prairie_volcano.Bottom_up.plan with
           | Some plan ->
@@ -571,52 +504,9 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a workload query with a rule set.")
-    Term.(
-      ret
-        (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ strategy_arg $ verbose_arg))
-
-(* ---------------- trace ---------------- *)
+    Term.(ret (const run $ query_term $ strategy_arg $ verbose_arg))
 
 let trace_cmd =
-  let query_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
-  in
-  let joins_arg =
-    Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
-  in
-  let ruleset_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "ruleset"; "r" ] ~docv:"FILE"
-          ~doc:"Rule file to use instead of the embedded OODB rule set.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 65536
-      & info [ "capacity" ] ~docv:"K"
-          ~doc:"Trace ring-buffer capacity: older events beyond K are dropped.")
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "group-budget" ] ~docv:"B"
-          ~doc:"Memo group budget (shows budget-exhaustion in the trace).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Also dump the raw trace to $(docv) (- for stdout).")
-  in
   let format_arg =
     Arg.(
       value
@@ -627,59 +517,30 @@ let trace_cmd =
              $(b,chrome) (Chrome trace-event JSON, loadable in \
              chrome://tracing and Perfetto).")
   in
-  let run qn joins seed ruleset_path capacity group_budget out format verbose =
+  let run with_query capacity group_budget out format verbose =
     setup_verbose verbose;
     if capacity < 1 then `Error (false, "--capacity must be at least 1")
     else
-      match W.Queries.of_int qn with
-      | None -> `Error (false, "query number must be 1-8")
-      | Some q -> (
-        let inst = W.Queries.instance q ~joins ~seed in
-        let catalog = inst.W.Queries.catalog in
-        let ruleset_result =
-          match ruleset_path with
-          | None -> Ok (Prairie_algebra.Oodb.ruleset catalog)
-          | Some path -> load_ruleset path catalog
-        in
-        match ruleset_result with
-        | Error msg ->
-          prerr_endline msg;
-          `Error (false, "could not load the rule set")
-        | Ok rs ->
-          let tr = P2v.Translate.translate rs in
-          let opt =
-            {
-              Opt.name = rs.Prairie.Ruleset.name;
-              volcano = tr.P2v.Translate.volcano;
-              prepare = P2v.Translate.prepare_query tr;
-            }
-          in
+      with_query (fun expr opt ->
           let sink = Obs_trace.create ~capacity () in
-          Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
-            joins seed Prairie.Expr.pp inst.W.Queries.expr;
-          let r = Opt.optimize ?group_budget ~trace:sink opt inst.W.Queries.expr in
+          let r = Opt.optimize ?group_budget ~trace:sink opt expr in
           (match r.Opt.plan with
           | Some plan ->
             Format.printf "@.best plan: %s@.@." (Explain.summary plan);
             Format.printf "%a" Explain.pp plan
           | None -> print_endline "no plan found");
           Format.printf "@.%a@." Explain.trace sink;
-          (match out with
-          | None -> ()
+          match out with
+          | None -> `Ok ()
           | Some dest ->
-            let dump oc =
-              match format with
-              | `Jsonl -> Obs_trace.output_jsonl oc sink
-              | `Chrome -> output_string oc (Span.chrome_of_trace sink)
-            in
-            (match dest with
-            | "-" -> dump stdout
-            | path ->
-              let oc = open_out path in
-              Fun.protect ~finally:(fun () -> close_out oc) (fun () -> dump oc);
-              Printf.printf "trace written to %s (%d events, %d dropped)\n" path
-                (Obs_trace.length sink) (Obs_trace.dropped sink)));
-          `Ok ())
+            write_out dest
+              (fun oc ->
+                match format with
+                | `Jsonl -> Obs_trace.output_jsonl oc sink
+                | `Chrome -> output_string oc (Span.chrome_of_trace sink))
+              ~written:(fun path ->
+                Printf.printf "trace written to %s (%d events, %d dropped)\n"
+                  path (Obs_trace.length sink) (Obs_trace.dropped sink)))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -690,86 +551,23 @@ let trace_cmd =
           chosen, and why other rules never fired.")
     Term.(
       ret
-        (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ capacity_arg $ budget_arg $ out_arg $ format_arg $ verbose_arg))
-
-(* ---------------- profile ---------------- *)
+        (const run $ query_term
+        $ capacity_arg
+            "Trace ring-buffer capacity: older events beyond K are dropped."
+        $ group_budget_arg
+            "Memo group budget (shows budget-exhaustion in the trace)."
+        $ out_arg "Also dump the raw trace to $(docv) (- for stdout)."
+        $ format_arg $ verbose_arg))
 
 let profile_cmd =
-  let query_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
-  in
-  let joins_arg =
-    Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
-  in
-  let ruleset_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "ruleset"; "r" ] ~docv:"FILE"
-          ~doc:"Rule file to use instead of the embedded OODB rule set.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 65536
-      & info [ "capacity" ] ~docv:"K"
-          ~doc:
-            "Span ring-buffer capacity: older span records beyond K are \
-             dropped (the per-rule aggregates stay exact).")
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "group-budget" ] ~docv:"B"
-          ~doc:"Memo group budget (profile a degraded search).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also dump the spans as Chrome trace-event JSON to $(docv) (- for \
-             stdout); load it in chrome://tracing or Perfetto.")
-  in
-  let run qn joins seed ruleset_path capacity group_budget out verbose =
+  let run with_query capacity group_budget out verbose =
     setup_verbose verbose;
     if capacity < 1 then `Error (false, "--capacity must be at least 1")
     else
-      match W.Queries.of_int qn with
-      | None -> `Error (false, "query number must be 1-8")
-      | Some q -> (
-        let inst = W.Queries.instance q ~joins ~seed in
-        let catalog = inst.W.Queries.catalog in
-        let ruleset_result =
-          match ruleset_path with
-          | None -> Ok (Prairie_algebra.Oodb.ruleset catalog)
-          | Some path -> load_ruleset path catalog
-        in
-        match ruleset_result with
-        | Error msg ->
-          prerr_endline msg;
-          `Error (false, "could not load the rule set")
-        | Ok rs ->
-          let tr = P2v.Translate.translate rs in
-          let opt =
-            {
-              Opt.name = rs.Prairie.Ruleset.name;
-              volcano = tr.P2v.Translate.volcano;
-              prepare = P2v.Translate.prepare_query tr;
-            }
-          in
+      with_query (fun expr opt ->
           let sink = Span.create ~capacity () in
-          Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
-            joins seed Prairie.Expr.pp inst.W.Queries.expr;
           let t0 = Unix.gettimeofday () in
-          let r = Opt.optimize ?group_budget ~spans:sink opt inst.W.Queries.expr in
+          let r = Opt.optimize ?group_budget ~spans:sink opt expr in
           let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
           (match r.Opt.plan with
           | Some plan ->
@@ -782,17 +580,14 @@ let profile_cmd =
             "wall %.3f ms, rooted spans account for %.3f ms (%.1f%%)@." wall_ms
             rooted_ms
             (if wall_ms > 0.0 then 100.0 *. rooted_ms /. wall_ms else 0.0);
-          (match out with
-          | None -> ()
-          | Some "-" -> print_string (Span.to_chrome sink)
-          | Some path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (Span.to_chrome sink));
-            Printf.printf "chrome trace written to %s (%d spans, %d dropped)\n"
-              path (Span.length sink) (Span.dropped sink));
-          `Ok ())
+          match out with
+          | None -> `Ok ()
+          | Some dest ->
+            write_out dest
+              (fun oc -> output_string oc (Span.to_chrome sink))
+              ~written:(fun path ->
+                Printf.printf "chrome trace written to %s (%d spans, %d dropped)\n"
+                  path (Span.length sink) (Span.dropped sink)))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -803,8 +598,15 @@ let profile_cmd =
           self/total time table and optionally exported as a Chrome trace.")
     Term.(
       ret
-        (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ capacity_arg $ budget_arg $ out_arg $ verbose_arg))
+        (const run $ query_term
+        $ capacity_arg
+            "Span ring-buffer capacity: older span records beyond K are \
+             dropped (the per-rule aggregates stay exact)."
+        $ group_budget_arg "Memo group budget (profile a degraded search)."
+        $ out_arg
+            "Also dump the spans as Chrome trace-event JSON to $(docv) (- for \
+             stdout); load it in chrome://tracing or Perfetto."
+        $ verbose_arg))
 
 (* ---------------- serve ---------------- *)
 
@@ -836,15 +638,6 @@ let serve_cmd =
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "group-budget" ] ~docv:"B"
-          ~doc:
-            "Per-request memo budget: over-large queries degrade gracefully \
-             instead of stalling a worker.")
   in
   let metrics_arg =
     Arg.(
@@ -965,15 +758,14 @@ let serve_cmd =
     summarize "cold" cold t_cold;
     summarize "warm" warm t_warm;
     Format.printf "  cache: %a@." Opt.Plan_cache.pp_stats cache;
-    (match (metrics_file, metrics) with
-    | Some "-", Some m -> Metrics.output stdout `Prometheus m
-    | Some path, Some m ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> Metrics.output oc `Prometheus m);
-      Printf.printf "  metrics written to %s\n" path
-    | _ -> ());
+    let written =
+      match (metrics_file, metrics) with
+      | Some dest, Some m ->
+        write_out dest
+          (fun oc -> Metrics.output oc `Prometheus m)
+          ~written:(Printf.printf "  metrics written to %s\n")
+      | _ -> `Ok ()
+    in
     (match slow_log with
     | Some log when Slow_log.length log > 0 ->
       Printf.printf "  slow-query log: %d search(es) at or above %.1f ms\n"
@@ -987,7 +779,7 @@ let serve_cmd =
         Unix.sleepf linger
       end;
       Telemetry.stop server);
-    `Ok ()
+    written
     end
   in
   Cmd.v
@@ -999,7 +791,11 @@ let serve_cmd =
     Term.(
       ret
         (const run $ jobs_arg $ cache_size_arg
-       $ requests_arg $ joins_arg $ seed_arg $ budget_arg $ metrics_arg
+       $ requests_arg $ joins_arg $ seed_arg
+       $ group_budget_arg
+           "Per-request memo budget: over-large queries degrade gracefully \
+            instead of stalling a worker."
+       $ metrics_arg
        $ telemetry_port_arg $ linger_arg $ slow_ms_arg $ verbose_arg))
 
 (* ---------------- sql ---------------- *)

@@ -38,13 +38,7 @@ let () =
   Format.printf
     "note the classification: [site] became the physical property, found@.\
      automatically from the SHIP Null-rule's property propagation.@.@.";
-  let opt =
-    {
-      Opt.name = "distributed";
-      volcano = tr.P2v.Translate.volcano;
-      prepare = P2v.Translate.prepare_query tr;
-    }
-  in
+  let opt = Opt.of_translation "distributed" tr in
   let q =
     Dist.join catalog
       ~pred:(attr "orders" "cust" === attr "cust" "cust")

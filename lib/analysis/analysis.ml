@@ -644,5 +644,3 @@ let export_metrics registry report =
     (Metrics.counter registry
        ~help:"operators in the reachability closure" ~labels:ruleset
        "prairie_analysis_reachable_operators_total")
-
-let summary = D.summary

@@ -73,6 +73,3 @@ val export_metrics : Prairie_obs.Metrics.t -> report -> unit
 (** Publish per-code finding counts, dead/unreachable rule counts and the
     closure size into a metrics registry
     ([prairie_analysis_*] counter families). *)
-
-val summary : Prairie.Diagnostic.t list -> int * int * int
-(** [(errors, warnings, infos)] counts. *)

@@ -906,5 +906,3 @@ let lint_file ?helpers path =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   lint_string ?helpers src
-
-let summary = D.summary

@@ -61,9 +61,6 @@ val apply_pragmas : (string * int) list -> Prairie.Diagnostic.t list -> Prairie.
     Exposed so other diagnostic producers (the semantic verifier) honor
     the same pragmas. *)
 
-val summary : Prairie.Diagnostic.t list -> int * int * int
-(** [(errors, warnings, infos)] counts. *)
-
 (** {1 Shared spec utilities}
 
     Exposed for {!Prairie_analysis}, which analyzes the same parsed specs

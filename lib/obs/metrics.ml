@@ -1,3 +1,5 @@
+module Json = Prairie_util.Json
+
 type hist_state = {
   bounds : float array;  (* sorted, strictly increasing, finite *)
   counts : int array;  (* per-bucket (non-cumulative); length bounds + 1 *)
@@ -319,13 +321,11 @@ let to_prometheus t =
     summary_quantiles;
   Buffer.contents buf
 
-let json_string = Trace.json_string
-
 let json_labels labels =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v))
+         (fun (k, v) -> Printf.sprintf "%s:%s" (Json.quote k) (Json.quote v))
          labels)
   ^ "}"
 
@@ -337,11 +337,11 @@ let to_jsonl t =
         match i.kind with
         | Counter r ->
           Printf.sprintf "{\"name\":%s,\"type\":\"counter\",\"labels\":%s,\"value\":%d}"
-            (json_string i.name) (json_labels i.labels)
+            (Json.quote i.name) (json_labels i.labels)
             (locked i.lock (fun () -> !r))
         | Gauge r ->
           Printf.sprintf "{\"name\":%s,\"type\":\"gauge\",\"labels\":%s,\"value\":%s}"
-            (json_string i.name) (json_labels i.labels)
+            (Json.quote i.name) (json_labels i.labels)
             (Trace.json_float (locked i.lock (fun () -> !r)))
         | Histogram _ ->
           let bs = buckets i in
@@ -356,7 +356,7 @@ let to_jsonl t =
           in
           Printf.sprintf
             "{\"name\":%s,\"type\":\"histogram\",\"labels\":%s,\"count\":%d,\"sum\":%s%s,\"buckets\":[%s]}"
-            (json_string i.name) (json_labels i.labels) (histogram_count i)
+            (Json.quote i.name) (json_labels i.labels) (histogram_count i)
             (Trace.json_float (histogram_sum i))
             qfields
             (String.concat ","

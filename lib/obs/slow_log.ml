@@ -3,6 +3,8 @@
    Trace/Span sinks this one is shared across serve workers, so every
    entry point locks. *)
 
+module Json = Prairie_util.Json
+
 type entry = {
   seq : int;
   at : float;  (* Unix.gettimeofday at completion *)
@@ -76,8 +78,8 @@ let entry_to_json e =
   Printf.sprintf
     "{\"seq\":%d,\"at\":%s,\"ruleset\":%s,\"fingerprint\":%s,\"seconds\":%s,\"cost\":%s,\"groups\":%d,\"budget_hit\":%b,\"cache_hit\":%b}"
     e.seq (Trace.json_float e.at)
-    (Trace.json_string e.ruleset)
-    (Trace.json_string e.fingerprint)
+    (Json.quote e.ruleset)
+    (Json.quote e.fingerprint)
     (Trace.json_float e.seconds) (Trace.json_float e.cost) e.groups
     e.budget_hit e.cache_hit
 

@@ -16,6 +16,8 @@
    this guarantees start < child start < child end < end for properly
    nested spans. *)
 
+module Json = Prairie_util.Json
+
 type phase =
   | Optimize
   | Explore
@@ -251,8 +253,8 @@ let chrome_event buf ~base r =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d,\"self_us\":%s,\"minor_words\":%s,\"major_words\":%s%s}}"
-       (Trace.json_string name)
-       (Trace.json_string (phase_label r.phase))
+       (Json.quote name)
+       (Json.quote (phase_label r.phase))
        (Trace.json_float (us_of_ns (Int64.sub r.start_ns base)))
        (Trace.json_float (us_of_ns r.dur_ns))
        r.domain r.id r.parent
@@ -261,7 +263,7 @@ let chrome_event buf ~base r =
        (Trace.json_float r.major_words)
        (match r.rule with
        | None -> ""
-       | Some rule -> Printf.sprintf ",\"rule\":%s" (Trace.json_string rule)))
+       | Some rule -> Printf.sprintf ",\"rule\":%s" (Json.quote rule)))
 
 let to_chrome t =
   let rs = records t in
@@ -298,7 +300,7 @@ let chrome_of_trace tr =
       Buffer.add_string buf
         (Printf.sprintf
            ",{\"name\":%s,\"cat\":\"trace\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":1,\"tid\":0,\"args\":{\"event\":%s}}"
-           (Trace.json_string (Trace.kind ev))
+           (Json.quote (Trace.kind ev))
            s
            (Trace.event_to_json ~seq:s ev)))
     (Trace.events tr);

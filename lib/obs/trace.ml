@@ -1,3 +1,5 @@
+module Json = Prairie_util.Json
+
 type reason =
   | Test_failed
   | Pruned of float
@@ -86,25 +88,6 @@ let reason_label = function
   | Budget_exhausted -> "budget_exhausted"
   | No_input_plan -> "no_input_plan"
 
-(* minimal JSON string escaping: quote, backslash, control characters *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* JSON has no infinity; costs can be infinite before the first winner *)
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.17g" f
@@ -123,28 +106,28 @@ let event_to_json ~seq ev =
       Printf.sprintf "\"survivor\":%d,\"dead\":%d" survivor dead
     | Trans_matched { rule; gid; bindings } ->
       Printf.sprintf "\"rule\":%s,\"gid\":%d,\"bindings\":%d"
-        (json_string rule) gid bindings
+        (Json.quote rule) gid bindings
     | Trans_applied { rule; gid } | Impl_applied { rule; gid } ->
-      Printf.sprintf "\"rule\":%s,\"gid\":%d" (json_string rule) gid
+      Printf.sprintf "\"rule\":%s,\"gid\":%d" (Json.quote rule) gid
     | Impl_matched { rule; gid } ->
-      Printf.sprintf "\"rule\":%s,\"gid\":%d" (json_string rule) gid
+      Printf.sprintf "\"rule\":%s,\"gid\":%d" (Json.quote rule) gid
     | Trans_rejected { rule; gid; reason } | Impl_rejected { rule; gid; reason }
       ->
       Printf.sprintf "\"rule\":%s,\"gid\":%d,\"reason\":%s%s"
-        (json_string rule) gid
-        (json_string (reason_label reason))
+        (Json.quote rule) gid
+        (Json.quote (reason_label reason))
         (reason_fields reason)
     | Enforcer_inserted { alg; gid } ->
-      Printf.sprintf "\"alg\":%s,\"gid\":%d" (json_string alg) gid
+      Printf.sprintf "\"alg\":%s,\"gid\":%d" (Json.quote alg) gid
     | Memo_hit { gid } -> Printf.sprintf "\"gid\":%d" gid
     | Winner_changed { gid; alg; old_cost; new_cost } ->
       Printf.sprintf "\"gid\":%d,\"alg\":%s,\"old_cost\":%s,\"new_cost\":%s"
-        gid (json_string alg)
+        gid (Json.quote alg)
         (match old_cost with None -> "null" | Some c -> json_float c)
         (json_float new_cost)
     | Budget_hit { groups } -> Printf.sprintf "\"groups\":%d" groups
   in
-  Printf.sprintf "{\"seq\":%d,\"event\":%s,%s}" seq (json_string (kind ev))
+  Printf.sprintf "{\"seq\":%d,\"event\":%s,%s}" seq (Json.quote (kind ev))
     tail
 
 let to_jsonl t =

@@ -99,9 +99,6 @@ val output_jsonl : out_channel -> t -> unit
 
 (** {1 JSON helpers} (shared with [Metrics]) *)
 
-val json_string : string -> string
-(** Quote and escape per RFC 8259. *)
-
 val json_float : float -> string
 (** Finite floats as shortest round-trip decimal; infinities as the JSON
     strings ["inf"] / ["-inf"]. *)

@@ -18,6 +18,11 @@ type outcome = {
   search : Prairie_volcano.Search.t;  (** memo and statistics *)
 }
 
+val of_translation : string -> Prairie_p2v.Translate.t -> t
+(** [of_translation name tr] is the optimizer P2V generated in [tr]: its
+    Volcano rule set, with {!Prairie_p2v.Translate.prepare_query} as the
+    preparation step. *)
+
 val oodb_prairie : Prairie_catalog.Catalog.t -> t
 (** The Open OODB rule set written in Prairie and run through P2V
     ("Prairie" in the paper's Figures 10–13). *)

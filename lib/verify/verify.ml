@@ -669,5 +669,3 @@ let export_metrics registry report =
         (Metrics.counter registry ~help:"catalog shrinking steps taken"
            ~labels "prairie_verify_shrink_steps_total"))
     report.rules
-
-let summary = D.summary

@@ -90,6 +90,3 @@ val export_metrics : Prairie_obs.Metrics.t -> report -> unit
 (** Register and bump the [prairie_verify_*] counters (rules checked,
     cases, redexes, counterexamples, shrink steps) labelled by ruleset
     and rule. *)
-
-val summary : Prairie.Diagnostic.t list -> int * int * int
-(** [(errors, warnings, infos)] counts. *)

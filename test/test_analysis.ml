@@ -232,7 +232,7 @@ let shipped_tests =
         List.iter
           (fun path ->
             let r = Analysis.analyze_file path in
-            let errors, warnings, _ = Analysis.summary r.Analysis.diagnostics in
+            let errors, warnings, _ = D.summary r.Analysis.diagnostics in
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings;
             Alcotest.(check (list string))

@@ -31,11 +31,7 @@ let ruleset = Dist.ruleset catalog ~sites
 let translation = P2v.Translate.translate ruleset
 
 let optimizer =
-  {
-    Prairie_optimizers.Optimizers.name = "distributed";
-    volcano = translation.P2v.Translate.volcano;
-    prepare = P2v.Translate.prepare_query translation;
-  }
+  Prairie_optimizers.Optimizers.of_translation "distributed" translation
 
 let two_way () =
   Dist.join catalog

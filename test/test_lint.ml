@@ -368,7 +368,7 @@ let shipped_tests =
               Lint.lint_file
                 ~helpers:(Prairie_algebra.Helpers.env Catalog.empty) path
             in
-            let errors, warnings, _ = Lint.summary ds in
+            let errors, warnings, _ = D.summary ds in
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings)
           [ "../rules/relational.prairie"; "../rules/open_oodb.prairie" ]);

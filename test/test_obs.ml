@@ -103,8 +103,8 @@ let test_jsonl () =
     (contains (List.nth lines 2) "\"old_cost\":null")
 
 let test_json_helpers () =
-  checks "escaping" "\"a\\\\b\\\"c\\nd\"" (Trace.json_string "a\\b\"c\nd");
-  checks "control chars" "\"\\u0007\"" (Trace.json_string "\007");
+  checks "escaping" "\"a\\\\b\\\"c\\nd\"" (Prairie_util.Json.quote "a\\b\"c\nd");
+  checks "control chars" "\"\\u0007\"" (Prairie_util.Json.quote "\007");
   checks "inf" "\"inf\"" (Trace.json_float infinity);
   checks "neg inf" "\"-inf\"" (Trace.json_float neg_infinity);
   checks "finite round-trip" "12.5" (Trace.json_float 12.5)

@@ -335,7 +335,7 @@ let shipped_tests =
         List.iter
           (fun path ->
             let r = Verify.verify_file ~config:(config ~budget:2 ()) path in
-            let errors, warnings, _ = Verify.summary r.Verify.diagnostics in
+            let errors, warnings, _ = D.summary r.Verify.diagnostics in
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings;
             check (path ^ " checked something") true (r.Verify.rules_checked > 0))
