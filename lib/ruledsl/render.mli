@@ -1,9 +1,10 @@
 (** Pretty-printer from Prairie rule sets back to the rule-specification
-    language.  [parse (render rs)] elaborates to a rule set equivalent to
-    [rs] (round-trip tested), which makes embedded rule sets exportable as
-    [.prairie] files. *)
+    language.  [parse (render rs)] elaborates to a rule set whose rules and
+    properties equal those of [rs] (round-trip tested). *)
 
 val expr : Format.formatter -> Prairie.Action.expr -> unit
+(** @raise Invalid_argument on a constant the language cannot write (only
+    booleans, numbers, strings, [DONT_CARE] and [TRUE_PRED] have literals). *)
 
 val stmt : Format.formatter -> Prairie.Action.stmt -> unit
 
