@@ -113,14 +113,15 @@ let () =
       (Prairie_volcano.Plan.cost plan)
   | None -> print_endline "no plan");
 
-  (* round-trip: the embedded Open OODB rule set renders to the language *)
+  (* round-trip: the built-in Open OODB rule set (rules/open_oodb.prairie,
+     embedded at build time) renders back to the language *)
   let oodb = Prairie_algebra.Oodb.ruleset catalog in
   let text = Dsl.Render.ruleset_to_string oodb in
   let reparsed =
     Dsl.Elaborate.load_string ~helpers:(Prairie_algebra.Helpers.env catalog) text
   in
   Format.printf
-    "@.round-trip of the embedded OODB rule set: %d T-rules and %d I-rules \
+    "@.round-trip of the built-in OODB rule set: %d T-rules and %d I-rules \
      re-parsed from %d bytes of rendered source@."
     (Prairie.Ruleset.trule_count reparsed)
     (Prairie.Ruleset.irule_count reparsed)

@@ -1,6 +1,7 @@
-(* Shorthand for writing rules in OCaml.  The textual rule language
-   (lib/ruledsl) elaborates to the same constructors; these combinators are
-   the embedded form. *)
+(* Shorthand for writing rules in OCaml, used by the rule-set fragments
+   built in code (aggregates, distributed, genrules).  The textual rule
+   language (lib/ruledsl), in which the shipped rule sets are written,
+   elaborates to the same constructors. *)
 
 module Pattern = Prairie.Pattern
 module Action = Prairie.Action
