@@ -938,7 +938,7 @@ let () =
       exit 2
     | baseline, [] ->
       Printf.printf
-        "\n--check %s (%s): all deterministic fields within %.0f%%\n" file
+        "\n--check %s (%s): all deterministic fields within %g%%\n" file
         baseline.S.b_schema (tolerance *. 100.0)
     | baseline, errors ->
       Printf.printf "\n--check %s (%s): %d mismatch(es)\n" file

@@ -54,10 +54,23 @@ module Json = struct
     | Obj of (string * v) list
     | Arr of v list
 
+  (* The shortest "%.*g" rendering that reads back as the same float, so a
+     dump compared against itself under [--check --tolerance 0] agrees
+     bit for bit.  Integral values keep a ".0" so they parse back as
+     floats, not ints. *)
+  let float_repr f =
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || Float.equal (float_of_string s) f then s else go (p + 1)
+    in
+    let s = go 1 in
+    if String.exists (function '.' | 'e' -> true | _ -> false) s then s
+    else s ^ ".0"
+
   let rec output buf = function
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      if Float.is_finite f then Buffer.add_string buf (float_repr f)
       else Buffer.add_string buf "null"
     | Str s -> Buffer.add_string buf (Prairie_util.Json.quote s)
     | Obj fields ->
