@@ -15,7 +15,23 @@ module F : sig
     Prairie_value.Attribute.t list
   (** Sorted, duplicate-free union — canonical attribute lists make
       logically-equal descriptors structurally equal, which the memo's
-      duplicate detection relies on. *)
+      duplicate detection relies on.  Inputs that are already sorted and
+      duplicate-free are merged in linear time. *)
+
+  val attrs_subset :
+    Prairie_value.Attribute.t list -> Prairie_value.Attribute.t list -> bool
+  (** Is every attribute of the first list in the second?  What the
+      [attrs_subset] helper computes. *)
+
+  val pred_refs_only :
+    Prairie_value.Predicate.t -> Prairie_value.Attribute.t list -> bool
+  (** Does the predicate reference only attributes of the list?  What the
+      [pred_refs_only] helper computes. *)
+
+  val pred_refs_any :
+    Prairie_value.Predicate.t -> Prairie_value.Attribute.t list -> bool
+  (** Does the predicate reference some attribute of the list?  What the
+      [pred_refs_any] helper computes. *)
 
   val canonical_and :
     Prairie_value.Predicate.t ->

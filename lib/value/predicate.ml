@@ -45,6 +45,20 @@ let rec attributes = function
     Attribute.Set.union (attributes a) (attributes b)
   | Not a -> attributes a
 
+(* Attribute walks that build no set: the rule helpers' hot paths only need
+   membership answers. *)
+let term_attr_for_all f = function
+  | T_attr a -> f a
+  | T_int _ | T_float _ | T_string _ -> true
+
+let rec for_all_attributes f = function
+  | True | False -> true
+  | Cmp (_, t1, t2) -> term_attr_for_all f t1 && term_attr_for_all f t2
+  | And (a, b) | Or (a, b) -> for_all_attributes f a && for_all_attributes f b
+  | Not a -> for_all_attributes f a
+
+let exists_attribute f p = not (for_all_attributes (fun a -> not (f a)) p)
+
 let owners p =
   Attribute.Set.fold
     (fun a acc ->

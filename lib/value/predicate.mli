@@ -37,6 +37,14 @@ val of_conjuncts : t list -> t
 val attributes : t -> Attribute.Set.t
 (** All attributes referenced by the predicate. *)
 
+val for_all_attributes : (Attribute.t -> bool) -> t -> bool
+(** [for_all_attributes f p] is [Attribute.Set.for_all f (attributes p)],
+    without building the set. *)
+
+val exists_attribute : (Attribute.t -> bool) -> t -> bool
+(** [exists_attribute f p] is [Attribute.Set.exists f (attributes p)],
+    without building the set. *)
+
 val owners : t -> string list
 (** Sorted list of distinct attribute owners referenced by the predicate. *)
 
