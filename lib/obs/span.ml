@@ -26,6 +26,7 @@ type phase =
   | Cost
   | Enforcer
   | Memo_insert
+  | Merge
   | Serve
 
 let phase_label = function
@@ -36,10 +37,11 @@ let phase_label = function
   | Cost -> "cost"
   | Enforcer -> "enforcer"
   | Memo_insert -> "memo_insert"
+  | Merge -> "merge"
   | Serve -> "serve"
 
 let all_phases =
-  [ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert; Serve ]
+  [ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert; Merge; Serve ]
 
 type handle = {
   h_id : int;

@@ -24,6 +24,7 @@ type phase =
   | Cost  (** one implementation-rule costing, inputs included *)
   | Enforcer  (** enforcer insertion + relaxed re-optimization *)
   | Memo_insert  (** gtree/expression insertion into the memo *)
+  | Merge  (** group merge and congruence repair, under [Memo_insert] *)
   | Serve  (** service-level request handling *)
 
 val phase_label : phase -> string

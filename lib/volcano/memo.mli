@@ -39,7 +39,8 @@ val create :
   unit ->
   t
 (** [trace] receives [Group_created] / [Groups_merged] events; [spans]
-    receives [Memo_insert] timing spans around tree insertions.  When
+    receives [Memo_insert] timing spans around tree insertions, with a
+    [Merge] child around each merge and its repair.  When
     absent (the default) the only per-event cost is one [Option]
     check. *)
 

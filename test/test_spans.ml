@@ -229,6 +229,36 @@ let test_spans_are_pure () =
     | Some p -> Explain.summary p
     | None -> "-")
 
+(* Merge repair is its own phase: every merge a rule application causes
+   opens a [Merge] span directly under that insertion's [Memo_insert]
+   span, so a profile charges repair to [merge] instead of leaving it in
+   explore's self time. *)
+let test_merge_spans_under_memo_insert () =
+  let inst = W.Queries.instance W.Queries.Q7 ~joins:2 ~seed:101 in
+  let opt = Opt.oodb_prairie inst.W.Queries.catalog in
+  let sink = Span.create ~capacity:(1 lsl 20) () in
+  let r = Opt.optimize ~spans:sink opt inst.W.Queries.expr in
+  let merged =
+    (Prairie_volcano.Search.stats r.Opt.search).Prairie_volcano.Stats.groups_merged
+  in
+  check "the search merges groups" true (merged > 0);
+  checki "nothing dropped" 0 (Span.dropped sink);
+  let rs = Span.records sink in
+  let by_id = Hashtbl.create 1024 in
+  List.iter (fun (r : Span.record) -> Hashtbl.replace by_id r.Span.id r) rs;
+  let merges = List.filter (fun (r : Span.record) -> r.Span.phase = Span.Merge) rs in
+  check "merge spans recorded" true (merges <> []);
+  check "no more merge spans than merges" true (List.length merges <= merged);
+  check "every merge span sits under memo_insert" true
+    (List.for_all
+       (fun (m : Span.record) ->
+         match Hashtbl.find_opt by_id m.Span.parent with
+         | Some p -> p.Span.phase = Span.Memo_insert
+         | None -> false)
+       merges);
+  check "profile lists the merge phase" true
+    (contains (Explain.profile_to_string sink) "merge")
+
 let test_disabled_path_is_cheap () =
   (* the disabled fast path is one Option check; a million no-op
      enter/exit pairs must be far under any per-event budget.  The bound
@@ -590,6 +620,8 @@ let suites =
           test_profile_total_close_to_wall;
         Alcotest.test_case "spans never change the result" `Quick
           test_spans_are_pure;
+        Alcotest.test_case "merge repair spans nest under memo_insert" `Quick
+          test_merge_spans_under_memo_insert;
       ] );
     ( "spans.export",
       [
