@@ -22,7 +22,9 @@ module String_set = Set.Make (String)
    the same structural fallback. *)
 
 type t = {
-  id : int;  (** unique within the interning domain's pool *)
+  id : int;
+      (** unique within the interning domain's pool; [-1] on a draft (see
+          {!update}) *)
   hash : int;  (** order-independent combination of binding hashes *)
   map : Value.t String_map.t;
   mutable fp : string option;  (** cached canonical serialization *)
@@ -99,6 +101,16 @@ let pool_stats () =
   { size = Pool.length p.set; hits = p.hits; misses = p.misses }
 
 let id d = d.id
+
+(* Drafts: descriptors built by [update] and not yet looked up in the pool.
+   A rule action writes several properties of one output descriptor; it
+   builds the map as a draft and interns the result once, with [seal],
+   instead of paying a pool probe (and, on a hit, a structural map
+   comparison) per property write.  Every other constructor returns a
+   sealed descriptor. *)
+let draft_id = -1
+let draft hash map = { id = draft_id; hash; map; fp = None }
+let seal d = if d.id = draft_id then intern ~hash:d.hash d.map else d
 let empty = intern String_map.empty
 let is_empty d = String_map.is_empty d.map
 
@@ -120,28 +132,24 @@ let is_no_constraint = function
     true
   | _ -> false
 
-let set d p v =
-  if is_no_constraint v then
-    match String_map.find_opt p d.map with
-    | None -> d
-    | Some old ->
-      intern
-        ~hash:(d.hash lxor binding_hash p old)
-        (String_map.remove p d.map)
-  else
-    match String_map.find_opt p d.map with
-    | Some old ->
-      intern
-        ~hash:(d.hash lxor binding_hash p old lxor binding_hash p v)
-        (String_map.add p v d.map)
-    | None ->
-      intern ~hash:(d.hash lxor binding_hash p v) (String_map.add p v d.map)
-
-let remove d p =
+let remove_draft d p =
   match String_map.find_opt p d.map with
   | None -> d
   | Some old ->
-    intern ~hash:(d.hash lxor binding_hash p old) (String_map.remove p d.map)
+    draft (d.hash lxor binding_hash p old) (String_map.remove p d.map)
+
+let update d p v =
+  if is_no_constraint v then remove_draft d p
+  else
+    match String_map.find_opt p d.map with
+    | Some old ->
+      draft
+        (d.hash lxor binding_hash p old lxor binding_hash p v)
+        (String_map.add p v d.map)
+    | None -> draft (d.hash lxor binding_hash p v) (String_map.add p v d.map)
+
+let set d p v = seal (update d p v)
+let remove d p = seal (remove_draft d p)
 
 let mem d p = match find d p with Some _ -> true | None -> false
 
@@ -156,8 +164,8 @@ let of_list bindings =
 let to_list d = String_map.bindings d.map
 
 let merge ~base ~overrides =
-  if String_map.is_empty overrides.map then base
-  else if String_map.is_empty base.map then overrides
+  if String_map.is_empty overrides.map then seal base
+  else if String_map.is_empty base.map then seal overrides
   else intern (String_map.union (fun _ _ v -> Some v) base.map overrides.map)
 
 (* [String_map.filter] preserves physical identity when nothing is dropped,
@@ -165,11 +173,11 @@ let merge ~base ~overrides =
    pool. *)
 let restrict_set d props =
   let m = String_map.filter (fun p _ -> String_set.mem p props) d.map in
-  if m == d.map then d else intern m
+  if m == d.map then seal d else intern m
 
 let without_set d props =
   let m = String_map.filter (fun p _ -> not (String_set.mem p props)) d.map in
-  if m == d.map then d else intern m
+  if m == d.map then seal d else intern m
 
 let restrict d props = restrict_set d (String_set.of_list props)
 let without d props = without_set d (String_set.of_list props)

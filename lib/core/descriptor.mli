@@ -21,7 +21,8 @@ val empty : t
 val is_empty : t -> bool
 
 val id : t -> int
-(** Pool-unique identity of this descriptor, assigned at interning time.
+(** Pool-unique identity of this descriptor, assigned at interning time
+    ([-1] on a draft, see {!update}).
     Unique only within the interning domain — descriptors that cross domains
     (e.g. through the plan cache) may collide on [id], so persistent keys
     must use the descriptor itself (via {!hash}/{!equal} or {!Tbl}), not the
@@ -39,6 +40,24 @@ val set : t -> string -> Prairie_value.Value.t -> t
     equal; the typed accessors read absent bindings back as those values. *)
 
 val remove : t -> string -> t
+
+(** {1 Drafts}
+
+    A rule action that writes several properties of one descriptor builds
+    it as a {e draft} and interns it once, when the action's statement
+    block ends, instead of interning after every write.  Only {!update}
+    returns drafts; every other function returns interned descriptors,
+    also when given a draft.  Drafts read, compare and hash like any
+    descriptor, but they are never physically equal to an interned one:
+    {!seal} them before they reach the memo or a winner table. *)
+
+val update : t -> string -> Prairie_value.Value.t -> t
+(** {!set} without interning: the same bindings, same "no constraint"
+    normalization, as a draft. *)
+
+val seal : t -> t
+(** Intern a draft: the pooled descriptor with the same bindings.  The
+    identity on descriptors that are already interned. *)
 
 val mem : t -> string -> bool
 

@@ -2,9 +2,12 @@
 
     Where the paper's pre-processor emits C code for Volcano's [cond_code],
     [appl_code], ["do_any_good"] and ["derive_phy_prop"] functions (§3.2,
-    Table 4), this module closes the interpreted Prairie statement lists
-    over the rule's descriptor environment, producing the closures the
-    {!Prairie_volcano.Search} engine calls.  The other two Volcano helper
+    Table 4), this module closes the Prairie statement lists over the
+    rule's descriptor environment, producing the closures the
+    {!Prairie_volcano.Search} engine calls.  Descriptor variables are
+    resolved to environment slots here, once per rule, and each
+    descriptor an action builds is interned once, when the action
+    returns it ({!Prairie.Compiled}).  The other two Volcano helper
     functions (["cost"], ["get_input_pv"]) are subsumed — the paper notes
     they are short-circuited by the per-rule property transformations. *)
 
@@ -15,7 +18,8 @@ type mode =
         emitting C code *)
   | `Interpreted
     (** re-interpret the statement ASTs on every rule invocation — the
-        [ablation-codegen] configuration *)
+        [ablation-codegen] configuration, and the differential reference
+        for [`Compiled] *)
   ]
 
 type t = {
