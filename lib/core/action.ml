@@ -47,7 +47,7 @@ let assigned_property = function
 
 let rec read_descs_acc acc = function
   | Const _ -> acc
-  | Desc d | Prop (d, _) -> if List.mem d acc then acc else d :: acc
+  | Desc d | Prop (d, _) -> if Pattern.mem_string d acc then acc else d :: acc
   | Call (_, args) -> List.fold_left read_descs_acc acc args
   | Binop (_, a, b) -> read_descs_acc (read_descs_acc acc a) b
   | Unop (_, a) -> read_descs_acc acc a
@@ -61,7 +61,7 @@ let helpers_used stmts =
   let rec go acc = function
     | Const _ | Desc _ | Prop _ -> acc
     | Call (name, args) ->
-      let acc = if List.mem name acc then acc else name :: acc in
+      let acc = if Pattern.mem_string name acc then acc else name :: acc in
       List.fold_left go acc args
     | Binop (_, a, b) -> go (go acc a) b
     | Unop (_, a) -> go acc a

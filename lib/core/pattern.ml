@@ -8,6 +8,16 @@ type tmpl =
 
 let stream_desc_name i = "D" ^ string_of_int i
 
+(* Monomorphic membership: [List.mem] compares through the polymorphic
+   primitive, which the rule-set checks call often enough to show. *)
+let rec mem_string d = function
+  | [] -> false
+  | x :: rest -> String.equal x d || mem_string d rest
+
+let rec mem_int i = function
+  | [] -> false
+  | x :: rest -> Int.equal x i || mem_int i rest
+
 module Binding = struct
   type binding = {
     streams : (int * Expr.t) list;
@@ -57,14 +67,14 @@ let matches pat e = match_at pat e Binding.empty
 
 let vars pat =
   let rec go acc = function
-    | Pvar i -> if List.mem i acc then acc else i :: acc
+    | Pvar i -> if mem_int i acc then acc else i :: acc
     | Pop (_, _, subpats) -> List.fold_left go acc subpats
   in
   List.sort Int.compare (go [] pat)
 
 let tmpl_vars t =
   let rec go acc = function
-    | Tvar (i, _) -> if List.mem i acc then acc else i :: acc
+    | Tvar (i, _) -> if mem_int i acc then acc else i :: acc
     | Tnode (_, _, subs) -> List.fold_left go acc subs
   in
   List.sort Int.compare (go [] t)
@@ -73,9 +83,9 @@ let desc_vars pat =
   let rec go acc = function
     | Pvar i ->
       let d = stream_desc_name i in
-      if List.mem d acc then acc else d :: acc
+      if mem_string d acc then acc else d :: acc
     | Pop (_, dvar, subpats) ->
-      let acc = if List.mem dvar acc then acc else dvar :: acc in
+      let acc = if mem_string dvar acc then acc else dvar :: acc in
       List.fold_left go acc subpats
   in
   List.sort String.compare (go [] pat)
@@ -83,9 +93,9 @@ let desc_vars pat =
 let tmpl_desc_vars t =
   let rec go acc = function
     | Tvar (_, None) -> acc
-    | Tvar (_, Some d) -> if List.mem d acc then acc else d :: acc
+    | Tvar (_, Some d) -> if mem_string d acc then acc else d :: acc
     | Tnode (_, dvar, subs) ->
-      let acc = if List.mem dvar acc then acc else dvar :: acc in
+      let acc = if mem_string dvar acc then acc else dvar :: acc in
       List.fold_left go acc subs
   in
   List.sort String.compare (go [] t)

@@ -51,6 +51,11 @@ val stream_desc_name : int -> string
 (** [stream_desc_name i] is ["Di"], the implicit descriptor variable of
     stream variable [?i]. *)
 
+val mem_string : string -> string list -> bool
+(** [List.mem] on strings, without the polymorphic comparison. *)
+
+val mem_int : int -> int list -> bool
+
 val matches : t -> Expr.t -> Binding.t option
 (** Match a pattern against an expression rooted at an {e operator} node.
     Stream variables match any subtree.  Operator patterns match only

@@ -12,7 +12,7 @@ let pattern_ops pat =
   let rec go acc = function
     | Pattern.Pvar _ -> acc
     | Pattern.Pop (name, _, subs) ->
-      let acc = if List.mem name acc then acc else name :: acc in
+      let acc = if Pattern.mem_string name acc then acc else name :: acc in
       List.fold_left go acc subs
   in
   go [] pat
@@ -21,7 +21,7 @@ let tmpl_ops tmpl =
   let rec go acc = function
     | Pattern.Tvar _ -> acc
     | Pattern.Tnode (name, _, subs) ->
-      let acc = if List.mem name acc then acc else name :: acc in
+      let acc = if Pattern.mem_string name acc then acc else name :: acc in
       List.fold_left go acc subs
   in
   go [] tmpl
@@ -117,7 +117,11 @@ let validate t =
   let check_ops rule_name ops =
     List.iter
       (fun op ->
-        if not (List.mem op t.operators || List.mem op t.algorithms) then
+        if
+          not
+            (Pattern.mem_string op t.operators
+            || Pattern.mem_string op t.algorithms)
+        then
           err "rule %s: undeclared operation %s" rule_name op)
       ops
   in
@@ -146,7 +150,10 @@ let validate t =
   let implemented = List.map Irule.operator t.irules in
   List.iter
     (fun op ->
-      if (not (List.mem op implemented)) && not (List.mem op t.algorithms) then
+      if
+        (not (Pattern.mem_string op implemented))
+        && not (Pattern.mem_string op t.algorithms)
+      then
         err "operator %s has no I-rule (it can never be implemented)" op)
     t.operators;
   match List.rev !errs with [] -> Ok () | es -> Error es

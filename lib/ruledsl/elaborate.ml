@@ -56,22 +56,23 @@ let elaborate ~helpers (spec : Ast.spec) =
   let algorithms =
     (Prairie.Irule.null_algorithm, 1) :: Ast.algorithms spec
   in
-  let check_arity ~loc rule_name kind decls (name, arity) =
-    match List.assoc_opt name decls with
-    | Some declared when declared <> arity ->
-      at loc "rule %s: %s %s used with arity %d but declared with %d" rule_name
-        kind name arity declared
-    | Some _ -> ()
-    | None -> at loc "rule %s: undeclared %s %s" rule_name kind name
+  let declared name decls =
+    List.find_map
+      (fun (n, arity) -> if String.equal n name then Some arity else None)
+      decls
   in
-  let known name = List.mem_assoc name operators || List.mem_assoc name algorithms in
   let check_node ~loc rule_name (name, arity) =
-    if List.mem_assoc name operators then
-      check_arity ~loc rule_name "operator" operators (name, arity)
-    else if List.mem_assoc name algorithms then
-      check_arity ~loc rule_name "algorithm" algorithms (name, arity)
-    else if not (known name) then
-      at loc "rule %s: undeclared operation %s" rule_name name
+    let kind, found =
+      match declared name operators with
+      | Some a -> ("operator", Some a)
+      | None -> ("algorithm", declared name algorithms)
+    in
+    match found with
+    | Some d when d <> arity ->
+      at loc "rule %s: %s %s used with arity %d but declared with %d" rule_name
+        kind name arity d
+    | Some _ -> ()
+    | None -> at loc "rule %s: undeclared operation %s" rule_name name
   in
   let check_rule (r : Ast.rule_body) =
     let loc = r.Ast.rb_loc in
